@@ -241,6 +241,24 @@ impl TreeHandle {
     }
 }
 
+/// A run of requests answered one after another on the calling thread,
+/// sharing one pooled scratch and one keyword snapshot — the serving
+/// layer's miss path, which must not spawn (see
+/// [`crate::IndoorService::execute_batch`]).
+pub(crate) struct Session<'e> {
+    engine: &'e QueryEngine,
+    keywords: Option<Arc<KeywordObjects>>,
+    scratch: PooledScratch<'e>,
+}
+
+impl Session<'_> {
+    /// Answer one request, bit-identical to [`QueryEngine::execute`].
+    pub(crate) fn execute(&mut self, req: &QueryRequest) -> QueryResponse {
+        self.engine
+            .execute_in(&mut self.scratch, self.keywords.as_ref(), req)
+    }
+}
+
 /// Concurrent batched query facade over a shared index.
 ///
 /// Owns a [`ScratchPool`] and a thread count. The primitive surface is
@@ -486,8 +504,17 @@ impl QueryEngine {
 
     /// Answer one typed request through the pool.
     pub fn execute(&self, req: &QueryRequest) -> QueryResponse {
-        let keywords = self.keywords();
-        self.execute_in(&mut self.pool.checkout(), keywords.as_ref(), req)
+        self.session().execute(req)
+    }
+
+    /// Open a serial [`Session`]: one pooled scratch and one keyword
+    /// snapshot for a run of requests answered on the calling thread.
+    pub(crate) fn session(&self) -> Session<'_> {
+        Session {
+            engine: self,
+            keywords: self.keywords(),
+            scratch: self.pool.checkout(),
+        }
     }
 
     /// Answer a heterogeneous batch of typed requests; slot `i` answers

@@ -74,11 +74,14 @@
 //!
 //! # Concurrency
 //!
-//! The offline container bans tokio; batches fan out with hand-rolled
-//! primitives instead — one scoped worker thread per shard with work,
-//! results flowing back over an [`std::sync::mpsc`] channel tagged with
-//! their input slot, so output order is the input order regardless of
-//! shard scheduling.
+//! The request path spawns nothing. [`IndoorService::execute_batch`]
+//! serves each shard's slot share inline on the calling thread, one
+//! shard after another, writing every answer straight into its input
+//! slot; misses run serially on one pooled scratch. A single query
+//! costs microseconds, far less than a thread spawn plus a channel hop,
+//! so parallelism comes from concurrent callers — `indoor_net`'s
+//! `NetServer` runs one thread per connection — and every caller holds
+//! at most one shard permit at a time.
 
 use crate::exec::{AdmissionGate, AdmissionPermit, AdmitError, QueryEngine};
 use crate::keywords::KeywordObjects;
@@ -95,7 +98,7 @@ use indoor_model::{
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Default per-shard result-cache capacity (entries) when
@@ -275,7 +278,12 @@ pub enum SyncPolicy {
 pub struct ShardConfig {
     /// Tree construction parameters.
     pub tree: VipTreeConfig,
-    /// Worker threads for this shard's batch execution (0 = all cores).
+    /// Worker count of the shard engine's own batch calls (0 = all
+    /// cores). Serving ignores it — the service answers inline on the
+    /// caller's thread — so it only sizes the warm Dijkstra engine pool
+    /// and [`QueryEngine::execute_batch`] for callers holding
+    /// [`IndoorService::engine`]. It stays in the snapshot, WAL `Create`
+    /// and wire encodings; dropping it needs a format-version bump.
     pub threads: usize,
     /// Objects to attach for kNN/range queries.
     pub objects: Vec<IndoorPoint>,
@@ -504,9 +512,9 @@ pub(crate) struct ShardTelemetry {
     cache_probe_us: Arc<crate::telemetry::Histogram>,
     /// WAL append + fsync time (µs) per the shard's [`SyncPolicy`].
     wal_append_us: Arc<crate::telemetry::Histogram>,
-    /// End-to-end serving latency per query kind (µs), indexed by
-    /// [`QueryKind::index`]. Batch misses apportion wall time equally,
-    /// matching [`KindStats::latency_ns`].
+    /// Serving latency per query kind (µs), indexed by
+    /// [`QueryKind::index`]: each request's own cache probe, execution
+    /// and insert, matching [`KindStats::latency_ns`].
     query_latency_us: [Arc<crate::telemetry::Histogram>; QueryKind::COUNT],
 }
 
@@ -768,8 +776,8 @@ pub struct KindStats {
     pub queries: u64,
     /// Requests answered from the result cache.
     pub cache_hits: u64,
-    /// Total serving latency. Batch misses apportion the batch's wall
-    /// time equally over its requests.
+    /// Total serving latency: the sum of each request's own cache
+    /// probe, execution and insert time, batched or not.
     pub latency_ns: u64,
 }
 
@@ -1411,16 +1419,6 @@ impl IndoorService {
         Ok(report)
     }
 
-    fn record(&self, kind: QueryKind, hit: bool, elapsed: Duration) {
-        let c = &self.counters[kind.index()];
-        c.queries.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            c.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        c.latency_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-    }
-
     /// Answer one request for one venue, through the admission gate and
     /// the cache. A shed or timed-out request returns the typed overload
     /// error without executing (cache probes count as execution: a hit
@@ -1432,44 +1430,11 @@ impl IndoorService {
         req: &QueryRequest,
     ) -> Result<QueryResponse, ServiceError> {
         let shard = self.shard(venue)?;
-        let _permit = shard.admit(venue, 1)?;
-        let t0 = Instant::now();
-        let engine = shard.engine();
-        // Stamps captured before computing: the answer is never stamped
-        // newer than the snapshot that produced it (the stale-hit proof).
-        let stamp = Stamps::capture(&engine).for_kind(req.kind());
-        // Borrowed probe: no request clone (and no allocation) on a hit.
-        let hit = shard
-            .cache
-            .lock()
-            .expect("cache poisoned")
-            .probe(req, stamp);
-        // Probe time measured from `t0` — the stamp capture it includes
-        // is part of the probe path, and reusing the request timestamp
-        // keeps the always-on cost to one clock read plus one record.
-        if let Some(tel) = shard.tel() {
-            tel.cache_probe_us.record(t0.elapsed().as_micros() as u64);
-        }
-        if let Some(resp) = hit {
-            let elapsed = t0.elapsed();
-            if let Some(tel) = shard.tel() {
-                tel.query_latency_us[req.kind().index()].record(elapsed.as_micros() as u64);
-            }
-            self.record(req.kind(), true, elapsed);
-            return Ok(resp);
-        }
-        let resp = engine.execute(req);
-        shard
-            .cache
-            .lock()
-            .expect("cache poisoned")
-            .insert(req.clone(), stamp, resp.clone());
-        let elapsed = t0.elapsed();
-        if let Some(tel) = shard.tel() {
-            tel.query_latency_us[req.kind().index()].record(elapsed.as_micros() as u64);
-        }
-        self.record(req.kind(), false, elapsed);
-        Ok(resp)
+        // A one-slot share; serving always overwrites the placeholder.
+        let mut out = [Err(ServiceError::UnknownVenue(venue))];
+        self.serve_share(&shard, venue, &[(0, req)], &mut out);
+        let [answer] = out;
+        answer
     }
 
     /// Answer a heterogeneous multi-venue batch; slot `i` answers
@@ -1478,137 +1443,121 @@ impl IndoorService {
     /// and a saturated venue sheds its whole batch share — every slot
     /// routed to it answers the overload error).
     ///
-    /// One scoped worker per venue shard with work; each admits its slot
-    /// share's weight, answers its slots (cache first, then one engine
-    /// batch over the misses) and streams `(slot, result)` back over an
-    /// mpsc channel.
+    /// Every venue's share is served inline on the calling thread, one
+    /// shard after another, through the same path as `execute`: one
+    /// admission per share, then per slot a cache probe, an execution on
+    /// a miss, and an insert. Concurrency across requests comes from
+    /// concurrent callers, not from here.
     pub fn execute_batch(
         &self,
         reqs: &[(VenueId, QueryRequest)],
     ) -> Vec<Result<QueryResponse, ServiceError>> {
-        // Snapshot the shard map once: venue removal mid-batch cannot
-        // strand a slot.
-        let shards: Vec<Option<Arc<Shard>>> = self.shards.read().expect("shard map lock").clone();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
-        let mut out: Vec<Option<Result<QueryResponse, ServiceError>>> = vec![None; reqs.len()];
-        for (slot, (venue, _)) in reqs.iter().enumerate() {
-            match shards.get(venue.index()).and_then(|s| s.as_ref()) {
-                Some(_) => by_shard[venue.index()].push(slot),
-                None => out[slot] = Some(Err(ServiceError::UnknownVenue(*venue))),
+        // Group slots by venue; the stable sort keeps each share in input
+        // order.
+        let mut slots: Vec<(usize, &QueryRequest)> =
+            reqs.iter().map(|(_, req)| req).enumerate().collect();
+        slots.sort_by_key(|&(slot, _)| reqs[slot].0.index());
+        // Every slot starts as `UnknownVenue`; serving a share overwrites
+        // each of its slots.
+        let mut out: Vec<Result<QueryResponse, ServiceError>> = reqs
+            .iter()
+            .map(|&(venue, _)| Err(ServiceError::UnknownVenue(venue)))
+            .collect();
+        for share in slots.chunk_by(|a, b| reqs[a.0].0 == reqs[b.0].0) {
+            // Each share resolves its shard when its turn comes, as a
+            // per-slot `execute` would: a venue removed mid-batch answers
+            // `UnknownVenue` for its share.
+            let venue = reqs[share[0].0].0;
+            if let Ok(shard) = self.shard(venue) {
+                self.serve_share(&shard, venue, share, &mut out);
             }
         }
-
-        let (tx, rx) = mpsc::channel::<(usize, Result<QueryResponse, ServiceError>)>();
-        std::thread::scope(|scope| {
-            for (index, (shard, slots)) in shards.iter().zip(&by_shard).enumerate() {
-                let Some(shard) = shard else { continue };
-                if slots.is_empty() {
-                    continue;
-                }
-                let venue = VenueId::from(index);
-                let tx = tx.clone();
-                scope.spawn(move || self.serve_shard_slots(shard, venue, slots, reqs, &tx));
-            }
-            drop(tx);
-            for (slot, resp) in rx {
-                debug_assert!(out[slot].is_none(), "slot answered twice");
-                out[slot] = Some(resp);
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("every slot answered"))
-            .collect()
+        out
     }
 
-    /// Worker body of [`IndoorService::execute_batch`] for one shard.
-    fn serve_shard_slots(
+    /// Serve one shard's share of a batch on the calling thread, writing
+    /// the answer to `share[i] = (slot, req)` into `out[slot]`. The one
+    /// serving path: [`IndoorService::execute`] is a one-slot share.
+    ///
+    /// - The share admits as one unit (weight = its length): a saturated
+    ///   shard sheds it whole instead of starting unbounded work.
+    ///   Oversized shares still admit on an idle gate, so `max_in_flight`
+    ///   never deadlocks a big batch.
+    /// - Stamps are captured once, before any probe or computation, so an
+    ///   answer is never stamped newer than the snapshot that produced it
+    ///   (the stale-hit proof).
+    /// - Each slot probes the cache, computes on a miss (one scratch and
+    ///   keyword snapshot for the whole share, opened at the first miss),
+    ///   and inserts — the cache lock is never held across execution.
+    /// - Duplicate cold requests compute once: a duplicate finds its
+    ///   first copy's answer in the cache or, if the clock already
+    ///   evicted it, in this share's own answers.
+    /// - Each slot records its own latency, probe through insert.
+    fn serve_share(
         &self,
         shard: &Shard,
         venue: VenueId,
-        slots: &[usize],
-        reqs: &[(VenueId, QueryRequest)],
-        tx: &mpsc::Sender<(usize, Result<QueryResponse, ServiceError>)>,
+        share: &[(usize, &QueryRequest)],
+        out: &mut [Result<QueryResponse, ServiceError>],
     ) {
-        // The whole slot share admits as one unit (weight = slot count):
-        // a saturated shard rejects the share up front instead of
-        // starting unbounded work. Oversized shares still admit on an
-        // idle gate, so `max_in_flight` never deadlocks a big batch.
-        let _permit = match shard.admit(venue, slots.len()) {
+        let _permit = match shard.admit(venue, share.len()) {
             Ok(permit) => permit,
             Err(e) => {
-                for &slot in slots {
-                    let _ = tx.send((slot, Err(e.clone())));
+                for &(slot, _) in share {
+                    out[slot] = Err(e.clone());
                 }
                 return;
             }
         };
-        // One consistent snapshot for the whole batch share, stamps
-        // captured before any computation.
         let engine = shard.engine();
         let stamps = Stamps::capture(&engine);
-        // Probe under the lock, but clone/record/send outside it so an
-        // all-hit batch doesn't starve concurrent `execute` callers.
-        let t0 = Instant::now();
-        let mut hits: Vec<(usize, QueryResponse)> = Vec::new();
-        let mut miss_slots: Vec<usize> = Vec::new();
-        {
-            let mut cache = shard.cache.lock().expect("cache poisoned");
-            for &slot in slots {
-                let req = &reqs[slot].1;
-                match cache.probe(req, stamps.for_kind(req.kind())) {
-                    Some(resp) => hits.push((slot, resp)),
-                    None => miss_slots.push(slot),
-                }
+        let mut session = None;
+        // The slot that computed each of this share's misses so far.
+        let mut computed: HashMap<&QueryRequest, usize> = HashMap::new();
+        for &(slot, req) in share {
+            let kind = req.kind();
+            let stamp = stamps.for_kind(kind);
+            let t0 = Instant::now();
+            // Borrowed probe: no request clone (and no allocation) on a hit.
+            let probed = shard
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .probe(req, stamp);
+            let cached = probed.or_else(|| {
+                let first = *computed.get(req)?;
+                out[first].as_ref().ok().cloned()
+            });
+            let tel = shard.tel();
+            if let Some(tel) = tel {
+                tel.cache_probe_us.record(t0.elapsed().as_micros() as u64);
             }
-        }
-        if let Some(tel) = shard.tel() {
-            // The whole share probes in one cache pass; bill it once.
-            tel.cache_probe_us.record(t0.elapsed().as_micros() as u64);
-        }
-        if !hits.is_empty() {
-            // Apportion the probe loop's wall time equally over the hits.
-            let per_hit = t0.elapsed() / hits.len() as u32;
-            for (slot, resp) in hits {
-                let kind = reqs[slot].1.kind();
-                if let Some(tel) = shard.tel() {
-                    tel.query_latency_us[kind.index()].record(per_hit.as_micros() as u64);
+            let hit = cached.is_some();
+            let resp = match cached {
+                Some(resp) => resp,
+                None => {
+                    let resp = session.get_or_insert_with(|| engine.session()).execute(req);
+                    shard.cache.lock().expect("cache poisoned").insert(
+                        req.clone(),
+                        stamp,
+                        resp.clone(),
+                    );
+                    computed.insert(req, slot);
+                    resp
                 }
-                self.record(kind, true, per_hit);
-                let _ = tx.send((slot, Ok(resp)));
+            };
+            let elapsed = t0.elapsed();
+            if let Some(tel) = tel {
+                tel.query_latency_us[kind.index()].record(elapsed.as_micros() as u64);
             }
-        }
-        if miss_slots.is_empty() {
-            return;
-        }
-
-        // Duplicate requests in one cold batch (the kiosk-repeat workload
-        // the cache exists for) compute once and fan out to every slot.
-        let mut unique: Vec<QueryRequest> = Vec::with_capacity(miss_slots.len());
-        let mut slots_of: HashMap<&QueryRequest, Vec<usize>> = HashMap::new();
-        for &slot in &miss_slots {
-            let req = &reqs[slot].1;
-            match slots_of.entry(req) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    unique.push(req.clone());
-                    e.insert(vec![slot]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(slot),
+            let c = &self.counters[kind.index()];
+            c.queries.fetch_add(1, Ordering::Relaxed);
+            if hit {
+                c.hits.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        let t0 = Instant::now();
-        let resps = engine.execute_batch(&unique);
-        // Apportion the batch's wall time equally over its requests.
-        let per_query = t0.elapsed() / miss_slots.len() as u32;
-        let mut cache = shard.cache.lock().expect("cache poisoned");
-        for (req, resp) in unique.iter().zip(resps) {
-            for &slot in &slots_of[req] {
-                if let Some(tel) = shard.tel() {
-                    tel.query_latency_us[req.kind().index()].record(per_query.as_micros() as u64);
-                }
-                self.record(req.kind(), false, per_query);
-                let _ = tx.send((slot, Ok(resp.clone())));
-            }
-            cache.insert(req.clone(), stamps.for_kind(req.kind()), resp);
+            c.latency_ns
+                .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+            out[slot] = Ok(resp);
         }
     }
 
@@ -1955,6 +1904,9 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_encodes_clean_and_retires_removed_venues() {
+        let _gate = crate::telemetry::SAMPLING_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let prev = crate::telemetry::set_sampling(true);
         let (service, id, venue) = service_with_one_venue(27);
         let q = workload::query_points(&venue, 1, 4)[0];
@@ -2130,6 +2082,125 @@ mod tests {
         drop(held);
         assert!(service.execute(id, &req).is_ok());
         assert_eq!(service.stats().in_flight, 0);
+    }
+
+    /// Latency samples recorded so far across one shard's per-kind
+    /// serving histograms.
+    fn latency_samples(service: &IndoorService, venue: VenueId) -> u64 {
+        let shard = service.shard(venue).unwrap();
+        let tel = shard.tel.get().expect("published shard has telemetry");
+        tel.query_latency_us.iter().map(|h| h.count()).sum()
+    }
+
+    #[test]
+    fn mixed_venue_batch_sheds_only_the_saturated_share() {
+        let _gate = crate::telemetry::SAMPLING_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let prev = crate::telemetry::set_sampling(true);
+        let service = IndoorService::new();
+        let mut venues = Vec::new();
+        for seed in [33, 34] {
+            let venue = Arc::new(random_venue(seed));
+            let objects = workload::place_objects(&venue, 8, seed);
+            let id = service
+                .add_venue(
+                    venue.clone(),
+                    ShardConfig {
+                        threads: 1,
+                        objects,
+                        admission: AdmissionConfig {
+                            max_in_flight: 1,
+                            policy: OverloadPolicy::Shed,
+                        },
+                        ..ShardConfig::default()
+                    },
+                )
+                .unwrap();
+            venues.push((id, venue));
+        }
+        let (a, b) = (venues[0].0, venues[1].0);
+        let mut reqs: Vec<(VenueId, QueryRequest)> = Vec::new();
+        for (id, venue) in &venues {
+            for req in workload::mixed_requests(venue, 3, 2, 80.0, "atm", id.index() as u64) {
+                reqs.push((*id, req));
+            }
+        }
+        workload::shuffle(&mut reqs, 5);
+        let b_slots = reqs.iter().filter(|(v, _)| *v == b).count();
+
+        // Saturate A from outside, as a concurrent query would.
+        let shard_a = service.shard(a).unwrap();
+        let held = shard_a.admit(a, 1).unwrap();
+        let samples0 = latency_samples(&service, b);
+        let got = service.execute_batch(&reqs);
+        let recorded = latency_samples(&service, b) - samples0;
+        let want_samples = if crate::telemetry::sampling_enabled() {
+            b_slots as u64
+        } else {
+            0
+        };
+        assert_eq!(recorded, want_samples, "one latency sample per B slot");
+        assert_eq!(latency_samples(&service, a), 0, "a shed share records none");
+        for (slot, (venue, req)) in reqs.iter().enumerate() {
+            if *venue == a {
+                assert_eq!(
+                    got[slot],
+                    Err(ServiceError::Overloaded {
+                        venue: a,
+                        in_flight: 1,
+                        limit: 1
+                    }),
+                    "slot {slot}"
+                );
+            } else {
+                assert_eq!(got[slot], service.execute(b, req), "slot {slot}");
+            }
+        }
+        let stats = service.stats();
+        assert_eq!(stats.shed, 1, "A's share sheds as one unit");
+        assert_eq!(stats.in_flight, 1);
+        drop(held);
+        assert_eq!(service.stats().in_flight, 0);
+        crate::telemetry::set_sampling(prev);
+    }
+
+    #[test]
+    fn cold_batch_duplicates_compute_once() {
+        let venue = Arc::new(random_venue(35));
+        let service = IndoorService::new();
+        let id = service
+            .add_venue(
+                venue.clone(),
+                ShardConfig {
+                    threads: 1,
+                    objects: workload::place_objects(&venue, 12, 35),
+                    // One entry: every miss evicts the previous answer, so
+                    // duplicates cannot lean on the cache alone.
+                    cache_capacity: 1,
+                    ..ShardConfig::default()
+                },
+            )
+            .unwrap();
+        let q = workload::query_points(&venue, 1, 8)[0];
+        let knn = QueryRequest::Knn { q, k: 3 };
+        let range = QueryRequest::Range { q, radius: 60.0 };
+        let reqs: Vec<(VenueId, QueryRequest)> = [&knn, &range, &knn, &knn, &range]
+            .into_iter()
+            .map(|req| (id, req.clone()))
+            .collect();
+        let got = service.execute_batch(&reqs);
+        let stats = service.stats();
+        assert_eq!(stats.total_queries(), 5);
+        assert_eq!(
+            stats.total_cache_hits(),
+            3,
+            "one computation per distinct request"
+        );
+        let engine = service.engine(id).unwrap();
+        for (slot, (_, req)) in reqs.iter().enumerate() {
+            assert_eq!(got[slot], Ok(engine.execute(req)), "slot {slot}");
+        }
     }
 
     #[test]

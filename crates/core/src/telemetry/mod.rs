@@ -69,6 +69,11 @@ pub fn set_sampling(on: bool) -> bool {
     SAMPLING.swap(on, Ordering::Relaxed)
 }
 
+/// Serialises the in-crate tests that flip the process-wide sampling
+/// gate or count samples recorded behind it.
+#[cfg(test)]
+pub(crate) static SAMPLING_TEST_LOCK: Mutex<()> = Mutex::new(());
+
 /// 1-in-N per-thread sampling interval for full query traces.
 static TRACE_INTERVAL: AtomicU64 = AtomicU64::new(32);
 
@@ -367,6 +372,7 @@ mod tests {
 
     #[test]
     fn sampling_gate_round_trips() {
+        let _gate = SAMPLING_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = set_sampling(false);
         assert!(!sampling_enabled());
         #[cfg(not(feature = "telemetry-off"))]
@@ -384,6 +390,7 @@ mod tests {
 
     #[test]
     fn trace_sampler_honors_interval_per_thread() {
+        let _gate = SAMPLING_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Fresh thread: deterministic tick starting at zero, unpolluted
         // by other tests dispatching queries concurrently.
         let prev = set_trace_interval(0);

@@ -8,21 +8,37 @@
 
 use std::fmt::Write as _;
 
-/// A JSON syntax error: the byte offset it was detected at plus a short
-/// description. Carried (not stringified) so loaders can attach the
-/// position to their own error types — see
+/// Deepest array/object nesting [`parse`] accepts. Venue documents nest
+/// about 4 deep; the bound keeps a crafted document (an `AddVenue` frame
+/// of a million `[`) from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// A JSON syntax error: the byte offset it was detected at, its kind and
+/// a short description. Carried (not stringified) so loaders can attach
+/// the position to their own error types — see
 /// `indoor_model::serialize::LoadError::Json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset into the input where parsing failed.
     pub offset: usize,
+    pub kind: ParseErrorKind,
     pub message: String,
+}
+
+/// What made a document unparseable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// Malformed JSON.
+    Syntax,
+    /// Arrays/objects nested deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl ParseError {
     fn new(offset: usize, message: impl Into<String>) -> ParseError {
         ParseError {
             offset,
+            kind: ParseErrorKind::Syntax,
             message: message.into(),
         }
     }
@@ -120,13 +136,13 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document (trailing whitespace allowed).
+/// Parse a complete JSON document (trailing whitespace allowed), in time
+/// linear in its length and stack bounded by [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(ParseError::new(pos, "trailing garbage"));
     }
     Ok(value)
@@ -148,13 +164,20 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parse one value nested inside `depth` arrays/objects.
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(ParseError::new(*pos, "unexpected end of input")),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError {
+            offset: *pos,
+            kind: ParseErrorKind::TooDeep,
+            message: format!("nesting deeper than {MAX_DEPTH}"),
+        }),
+        Some(b'{') => parse_obj(s, pos, depth + 1),
+        Some(b'[') => parse_arr(s, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(s, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Json::Null),
@@ -183,17 +206,26 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         .map_err(|_| ParseError::new(start, format!("invalid number {text:?}")))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, ParseError> {
+    let b = s.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash as one slice:
+        // both are ASCII, so the run ends on a char boundary of `s`.
+        let run = *pos;
+        while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+            *pos += 1;
+        }
+        out.push_str(&s[run..*pos]);
         match b.get(*pos) {
             None => return Err(ParseError::new(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // The backslash of an escape.
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -224,20 +256,12 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|e| ParseError::new(*pos, e.to_string()))?;
-                let ch = rest.chars().next().unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
         }
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
+    let b = s.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -246,7 +270,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(s, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -259,7 +283,8 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
+    let b = s.as_bytes();
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -269,9 +294,9 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(s, pos)?;
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(s, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -358,6 +383,63 @@ mod tests {
             write_f64(&mut s, v);
             assert_eq!(s, "null");
             assert_eq!(parse(&s).unwrap(), Json::Null);
+        }
+    }
+
+    #[test]
+    fn strings_parse_multibyte_text_and_every_escape() {
+        let cases: &[(&str, &str)] = &[
+            (r#""""#, ""),
+            (r#""plain ascii""#, "plain ascii"),
+            (r#""café — 東京 🚪""#, "café — 東京 🚪"),
+            (r#""\"\\\/\n\t\r\b\f""#, "\"\\/\n\t\r\u{8}\u{c}"),
+            (r#""\u0041\u00e9\u6771\u0000""#, "Aé東\u{0}"),
+            (r#""ééé\n東""#, "ééé\n東"),
+            (r#""\\u0041""#, "\\u0041"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap().as_str(), Some(*want), "{text}");
+        }
+        // A long run between escapes is copied whole, not char by char.
+        let long = "ü".repeat(50_000);
+        let doc = format!("[\"{long}\\n{long}\"]");
+        let got = parse(&doc).unwrap();
+        assert_eq!(
+            got.as_arr().unwrap()[0].as_str(),
+            Some(format!("{long}\n{long}").as_str())
+        );
+        for bad in [
+            r#""\x""#,
+            r#""\u00""#,
+            r#""\ud800""#,
+            r#""\u00g0""#,
+            "\"open",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::Syntax, "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_max_depth() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}0{}", "{\"a\":".repeat(n), "}".repeat(n));
+        for doc in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            assert!(parse(&doc).is_ok(), "depth {MAX_DEPTH} must parse");
+        }
+        // Rejected at the first opener past the limit.
+        let too_deep = [
+            (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+            (objects(MAX_DEPTH + 1), MAX_DEPTH * "{\"a\":".len()),
+        ];
+        for (doc, offset) in too_deep {
+            let err = parse(&doc).unwrap_err();
+            assert_eq!((err.kind, err.offset), (ParseErrorKind::TooDeep, offset));
+        }
+        // A million unclosed openers: a typed error, not a stack overflow.
+        for opener in ["[", "{\"a\":"] {
+            let doc = opener.repeat(1_000_000);
+            assert_eq!(parse(&doc).unwrap_err().kind, ParseErrorKind::TooDeep);
         }
     }
 

@@ -8,8 +8,9 @@
 //! * [`NetServer`] — binds a listener, spawns one thread per connection.
 //!   Each connection drains its socket into a [`FrameDecoder`], coalesces
 //!   every query frame buffered at that moment into **one**
-//!   [`IndoorService::execute_batch`] call (pipelined clients batch
-//!   themselves), and answers admission rejections with typed
+//!   [`IndoorService::execute_batch`] call served inline on the
+//!   connection thread (pipelined clients batch themselves), and answers
+//!   admission rejections with typed
 //!   [`WireError::Overloaded`] / [`WireError::Timeout`] replies — an
 //!   overloaded server degrades per-request, it never drops connections.
 //! * [`NetClient`] — sequential request/reply calls plus a pipelined

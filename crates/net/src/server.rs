@@ -3,10 +3,13 @@
 //! One accept thread polls a non-blocking listener; each accepted
 //! connection gets its own thread. A connection thread alternates
 //! between draining the socket into its [`FrameDecoder`] and serving
-//! every frame that drain completed — which is where pipelining pays:
-//! all query frames a client had in flight at drain time coalesce into
-//! **one** [`IndoorService::execute_batch`] call, so a depth-`d`
-//! pipeline gets batch execution without any client-side batching API.
+//! every frame that drain completed. All query frames a client had in
+//! flight at drain time coalesce into **one**
+//! [`IndoorService::execute_batch`] call, served inline on the
+//! connection thread. Coalescing buys one admission per venue share and
+//! one pass over the cache for the whole drain, and duplicate cold
+//! requests in it compute once; it spawns nothing. Parallelism comes
+//! from the thread per connection.
 //!
 //! Backpressure is typed, not transport-level: an admission rejection
 //! ([`ServiceError::Overloaded`] / [`ServiceError::Timeout`]) becomes a
@@ -231,8 +234,8 @@ fn is_query(f: &Frame) -> bool {
     matches!(f, Frame::Query { .. } | Frame::QueryBatch { .. })
 }
 
-/// Serve a coalesced run of query frames with one `execute_batch` call,
-/// then fan the slot results back out to per-frame replies.
+/// Serve a coalesced run of query frames with one `execute_batch` call
+/// on this thread, then split the slot results into per-frame replies.
 fn answer_queries(
     service: &IndoorService,
     stream: &mut TcpStream,

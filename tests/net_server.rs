@@ -16,6 +16,7 @@
 //!   replica serving its last-synced state.
 
 use indoor_net::{follower, NetClient, NetError, NetServer};
+use indoor_spatial::model::frames::{Frame, FrameDecoder, WireError, NET_MAGIC};
 use indoor_spatial::prelude::*;
 use indoor_spatial::synth::{random_venue, workload};
 use std::path::PathBuf;
@@ -123,6 +124,69 @@ fn unknown_venue_and_malformed_admin_come_back_typed() {
     }
     // The connection survives the error reply.
     client.ping().unwrap();
+}
+
+/// Send one frame on a raw handshaken connection and read the next reply.
+fn raw_call(stream: &mut std::net::TcpStream, dec: &mut FrameDecoder, frame: Frame) -> Frame {
+    use std::io::{Read, Write};
+    stream.write_all(&frame.encode()).unwrap();
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        if let Some(reply) = dec.next().expect("well-formed reply") {
+            return reply;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed the connection");
+        dec.extend(&buf[..n]);
+    }
+}
+
+/// A crafted `AddVenue` frame whose venue document nests a million
+/// arrays deep gets a typed `Malformed` reply instead of overflowing the
+/// connection thread's stack, and the same connection keeps serving.
+#[test]
+fn deeply_nested_add_venue_is_refused_and_the_connection_survives() {
+    use std::io::{Read, Write};
+    let (venue, config, reqs) = fixture(84);
+    let service = Arc::new(IndoorService::new());
+    let id = service.add_venue(venue, config.clone()).unwrap();
+    let server = NetServer::bind(service.clone(), "127.0.0.1:0").unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&NET_MAGIC).unwrap();
+    let mut magic = [0u8; NET_MAGIC.len()];
+    stream.read_exact(&mut magic).unwrap();
+    assert_eq!(magic, NET_MAGIC);
+    let mut dec = FrameDecoder::new();
+
+    let crafted = Frame::AddVenue {
+        id: 1,
+        venue_json: vec![b'['; 1_000_000],
+        config: config.encode_wire(),
+    };
+    match raw_call(&mut stream, &mut dec, crafted) {
+        Frame::Error {
+            id: 1,
+            err: WireError::Malformed { detail },
+        } => assert!(detail.contains("nesting"), "{detail}"),
+        other => panic!("want a Malformed error reply, got {other:?}"),
+    }
+    assert_eq!(service.venue_count(), 1, "nothing was registered");
+
+    assert!(matches!(
+        raw_call(&mut stream, &mut dec, Frame::Ping { id: 2 }),
+        Frame::Pong { id: 2 }
+    ));
+    let query = Frame::Query {
+        id: 3,
+        venue: id.index() as u32,
+        req: reqs[0].clone(),
+    };
+    match raw_call(&mut stream, &mut dec, query) {
+        Frame::Answer { id: 3, result } => {
+            assert_eq!(result.unwrap(), service.execute(id, &reqs[0]).unwrap())
+        }
+        other => panic!("want an Answer, got {other:?}"),
+    }
 }
 
 /// Flood a capacity-2 shard from four pipelined connections: the gate
